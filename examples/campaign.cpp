@@ -38,29 +38,13 @@ int main() {
   if (const char* p = std::getenv("CRP_PLAN"); p != nullptr && *p == '1')
     copts.plan = true;
   pipeline::Campaign campaign(copts);
-  obs::Registry::global()
-      .gauge("pipeline.campaign.targets_total")
-      .set(static_cast<i64>(reg.all().size()));
 
+  // The whole registry as one task graph on the shared exec pool (DESIGN.md
+  // §10); reports come back in registration order.
   int total_primitives = 0;
-  for (const pipeline::TargetSpec& spec : reg.all()) {
-    printf("--- %-24s [%s]\n", spec.id.c_str(),
-           pipeline::target_class_name(spec.cls));
-    pipeline::TargetReport rep = campaign.run_target(spec);
-    printf("    %s%s\n", rep.summary.c_str(), rep.cache_hit ? " [cached]" : "");
-    for (const analysis::Candidate& c : rep.candidates) {
-      if (c.verdict == analysis::Verdict::kUsable ||
-          c.cls != analysis::PrimitiveClass::kSyscall)
-        printf("    * %s\n", c.describe().c_str());
-    }
-    if (rep.has_plan) {
-      printf("    plan: %s%s%s\n", plan::surface_name(rep.exploit_plan.surface),
-             rep.exploit_plan.symex_confirmed ? " [symex]" : "",
-             rep.plan_cache_hit ? " [cached]" : "");
-      printf("    replay: %s\n", rep.plan_replay.summary().c_str());
-    }
+  for (const pipeline::TargetReport& rep : campaign.run_all(reg)) {
+    printf("%s", pipeline::render_report(rep).c_str());
     total_primitives += rep.usable;
-    printf("\n");
   }
 
   const pipeline::ArtifactStore& store = pipeline::ArtifactStore::global();

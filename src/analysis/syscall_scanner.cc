@@ -20,8 +20,17 @@ class TaintFarm : public os::KernelObserver {
   void on_process_created(os::Process& p) override { attach(p); }
 
   void attach(os::Process& p) {
-    if (!engines_.contains(p.pid()))
+    if (!stopped_ && !engines_.contains(p.pid()))
       engines_.emplace(p.pid(), std::make_unique<taint::TaintEngine>(k_, p));
+  }
+
+  /// Stop tracking for the rest of the run: every engine stops propagating
+  /// (interpreter and translated traces alike) and processes created from
+  /// now on get none. Taint is shadow state only, so guest execution is
+  /// unchanged.
+  void stop() {
+    stopped_ = true;
+    for (auto& [pid, eng] : engines_) eng->set_enabled(false);
   }
 
   taint::TaintEngine* engine(int pid) {
@@ -32,6 +41,7 @@ class TaintFarm : public os::KernelObserver {
  private:
   os::Kernel& k_;
   std::unordered_map<int, std::unique_ptr<taint::TaintEngine>> engines_;
+  bool stopped_ = false;
 };
 
 /// Discovery observer: records EFAULT-capable syscalls and taint on their
@@ -112,7 +122,8 @@ class DiscoverHook : public os::KernelObserver {
 };
 
 /// Verification observer: corrupts the pointer argument (and its memory
-/// home) of the candidate syscall, once.
+/// home) of the candidate syscall, once. Provenance matters only up to
+/// that moment, so firing also stops the run's taint tracking.
 ///
 /// Addresses recorded during discovery belong to a different ASLR
 /// instantiation, so the hook re-derives the pointer's provenance *live*
@@ -155,6 +166,7 @@ class CorruptHook : public os::KernelObserver {
     // same pointer observe the corruption (out-of-fragment dereferences
     // crash honestly).
     if (live_home.has_value()) p.machine().mem().poke_u64(*live_home, poison_);
+    farm_.stop();
   }
 
   void on_syscall_exit(os::Process& p, os::Thread& t, os::Sys nr, const u64* args,

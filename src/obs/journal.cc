@@ -9,19 +9,24 @@ namespace crp::obs {
 
 namespace {
 thread_local u32 t_journal_lane = 0;
+thread_local std::string t_journal_subject;
 }  // namespace
 
 u32 journal_thread_lane() { return t_journal_lane; }
 void set_journal_thread_lane(u32 lane) { t_journal_lane = lane; }
 
+const std::string& journal_subject() { return t_journal_subject; }
+void set_journal_subject(std::string subject) { t_journal_subject = std::move(subject); }
+
 void Journal::span(const std::string& name, const std::string& cat, u64 ts_us, u64 dur_us,
-                   u32 tid, const std::string& arg_name, i64 arg) {
-  emit({name, cat, 'X', ts_us, dur_us, tid, arg_name, arg});
+                   u32 tid, const std::string& arg_name, i64 arg,
+                   const std::string& subject) {
+  emit({name, cat, 'X', ts_us, dur_us, tid, arg_name, arg, subject});
 }
 
 void Journal::instant(const std::string& name, const std::string& cat, u64 ts_us, u32 tid,
                       const std::string& arg_name, i64 arg) {
-  emit({name, cat, 'i', ts_us, 0, tid, arg_name, arg});
+  emit({name, cat, 'i', ts_us, 0, tid, arg_name, arg, {}});
 }
 
 void Journal::emit(TraceEvent ev) {
@@ -86,9 +91,16 @@ std::string Journal::chrome_trace_json() const {
                 static_cast<unsigned long long>(e.ts_us), e.tid);
     if (e.phase == 'X') out += strf(",\"dur\":%llu", static_cast<unsigned long long>(e.dur_us));
     if (e.phase == 'i') out += ",\"s\":\"g\"";
-    if (!e.arg_name.empty())
-      out += strf(",\"args\":{\"%s\":%lld}", escape(e.arg_name).c_str(),
-                  static_cast<long long>(e.arg));
+    if (!e.arg_name.empty() || !e.subject.empty()) {
+      out += ",\"args\":{";
+      if (!e.arg_name.empty())
+        out += strf("\"%s\":%lld", escape(e.arg_name).c_str(),
+                    static_cast<long long>(e.arg));
+      if (!e.subject.empty())
+        out += strf("%s\"subject\":\"%s\"", e.arg_name.empty() ? "" : ",",
+                    escape(e.subject).c_str());
+      out += "}";
+    }
     out += "}";
   }
   out += "\n]";

@@ -51,6 +51,28 @@ class ScopedJournalLane {
   u32 prev_;
 };
 
+/// What the calling thread is working on, by name ("server/nginx_sim",
+/// "server/cherokee_sim epoll_wait"): stage spans and exec::ThreadPool task
+/// spans carry it as their `subject` argument, so a Chrome trace of
+/// interleaved targets says which target owns each span. Pool tasks
+/// inherit the batch issuer's subject.
+const std::string& journal_subject();
+void set_journal_subject(std::string subject);
+
+/// RAII subject switch (restores the previous subject).
+class ScopedJournalSubject {
+ public:
+  explicit ScopedJournalSubject(std::string subject) : prev_(journal_subject()) {
+    set_journal_subject(std::move(subject));
+  }
+  ~ScopedJournalSubject() { set_journal_subject(std::move(prev_)); }
+  ScopedJournalSubject(const ScopedJournalSubject&) = delete;
+  ScopedJournalSubject& operator=(const ScopedJournalSubject&) = delete;
+
+ private:
+  std::string prev_;
+};
+
 struct TraceEvent {
   std::string name;
   std::string cat;
@@ -60,6 +82,7 @@ struct TraceEvent {
   u32 tid = 0;
   std::string arg_name;  // optional single numeric arg
   i64 arg = 0;
+  std::string subject;   // optional string arg, exported as args.subject
 };
 
 class Journal {
@@ -68,7 +91,8 @@ class Journal {
 
   /// Append a complete ('X') span event.
   void span(const std::string& name, const std::string& cat, u64 ts_us, u64 dur_us,
-            u32 tid = 0, const std::string& arg_name = {}, i64 arg = 0);
+            u32 tid = 0, const std::string& arg_name = {}, i64 arg = 0,
+            const std::string& subject = {});
   /// Append an instant ('i') event.
   void instant(const std::string& name, const std::string& cat, u64 ts_us, u32 tid = 0,
                const std::string& arg_name = {}, i64 arg = 0);

@@ -180,13 +180,12 @@ class Campaign {
   ArtifactStore* store() const { return opts_.cache ? store_ : nullptr; }
 
   // --- Linux syscall funnel (Table I) ---------------------------------------
-  /// Full funnel over one program. `verify_jobs` overrides the pool width
-  /// of the verification stage only (scan_targets passes 1: it already
-  /// parallelizes across targets).
-  ServerScan scan_program(const analysis::TargetProgram& prog, int verify_jobs = 0);
+  /// Full funnel over one program.
+  ServerScan scan_program(const analysis::TargetProgram& prog);
   ServerScan scan_target(const TargetSpec& spec);
-  /// Scan several targets, sharded across the exec pool; results in input
-  /// order, identical to scanning serially.
+  /// Scan several targets, sharded across the shared exec pool (each
+  /// scan's verification nests on it); results in input order, identical
+  /// to scanning serially.
   std::vector<ServerScan> scan_targets(const std::vector<const TargetSpec*>& specs);
 
   // --- SEH funnel (Tables II/III, §V-C) -------------------------------------
@@ -221,8 +220,10 @@ class Campaign {
   /// inline JobQueue and waits — the batch path and the daemon path execute
   /// the same cells.
   TargetReport run_target(const TargetSpec& spec);
-  /// Every registered subject, registration order (submitted as one batch
-  /// of equal-priority jobs; drained in submission order).
+  /// Every registered subject, reports in registration order, byte-equal
+  /// to run_target on each. Runs as one task graph on the shared exec
+  /// pool: each Linux server funnel concurrently, every other target one
+  /// at a time in registration order (DESIGN.md §10).
   std::vector<TargetReport> run_all(const TargetRegistry& reg);
 
   /// Content-addressed key of a syscall scan (exposed for the cache

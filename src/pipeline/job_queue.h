@@ -20,11 +20,12 @@
 // Two execution modes:
 //   * workers > 0 — a thread pool drains the queue (the crpd daemon);
 //   * workers == 0 — inline: wait(id) drains jobs on the *caller's*
-//     thread until `id` is terminal. This is what Campaign::run_target /
-//     run_all use, and it is what keeps the batch path byte-identical to
-//     pre-engine behavior: same thread, same order, same chaos context
-//     visibility (a thread-local chaos::ScopedPlan installed by the
-//     caller governs the cells it drives).
+//     thread until `id` is terminal. This is what Campaign::run_target
+//     uses (and run_all, once per target task), and it is what keeps the
+//     batch path byte-identical to pre-engine behavior: same steps, same
+//     order, same chaos context visibility (a thread-local
+//     chaos::ScopedPlan installed by the caller governs the cells it
+//     drives).
 //
 // Determinism: each step runs under chaos::TaskScope(mix64(job seed, step
 // index)) and ScopedCacheTenant(job tenant), so fault-injection salts and

@@ -30,6 +30,7 @@
 
 #include "analysis/api_analysis.h"
 #include "analysis/report.h"
+#include "obs/journal.h"
 #include "obs/prof.h"
 #include "analysis/seh_analysis.h"
 #include "analysis/syscall_scanner.h"
@@ -45,18 +46,21 @@ namespace crp::pipeline {
 /// RAII observability wrapper for one stage execution. Cheap relative to
 /// any stage body; not for per-item use inside a stage. Also enters the
 /// profiler's stage context, so virtual-time samples taken while the stage
-/// runs carry its id.
+/// runs carry its id. The span's `subject` is the thread's journal subject
+/// (a TargetCell names its registry id); `subject` names it only when the
+/// caller set none (a direct stage call), and pool tasks the stage issues
+/// inherit it.
 class StageScope {
  public:
-  explicit StageScope(const char* stage_id, std::string subject = {});
+  explicit StageScope(const char* stage_id, const std::string& subject = {});
   ~StageScope();
   StageScope(const StageScope&) = delete;
   StageScope& operator=(const StageScope&) = delete;
 
  private:
   const char* id_;
-  std::string subject_;
   u64 t0_ns_;
+  obs::ScopedJournalSubject subject_;
   obs::ScopedProfStage prof_stage_;
 };
 
@@ -91,8 +95,10 @@ struct SyscallCandidateStage {
 /// Verify each candidate in a fresh target instance: corrupt the pointer
 /// (register + live memory home), keep driving the workload, classify
 /// crash / not-controllable / usable / false-positive. Candidates are
-/// independent, so verification shards across the exec pool (`jobs` as for
-/// exec::resolve_jobs); results merge in input order.
+/// independent, so verification shards across the shared exec pool, at
+/// most `jobs` wide (exec::resolve_jobs); called from inside a pool task
+/// (a run_all target) the batch nests on the same workers. Results merge
+/// in input order.
 struct VerifyStage {
   static constexpr const char* kId = "verify";
   struct In {

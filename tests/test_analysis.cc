@@ -5,9 +5,12 @@
 #include "analysis/api_analysis.h"
 #include "analysis/report.h"
 #include "analysis/seh_analysis.h"
+#include "analysis/syscall_scanner.h"
 #include "analysis/veh_scanner.h"
 #include "isa/assembler.h"
+#include "obs/obs.h"
 #include "os/kernel.h"
+#include "targets/nginx.h"
 #include "trace/tracer.h"
 
 namespace crp::analysis {
@@ -495,6 +498,46 @@ TEST(Candidates, DescribeIsHumanReadable) {
   EXPECT_NE(s.find("nginx_sim"), std::string::npos);
   EXPECT_NE(s.find("recv"), std::string::npos);
   EXPECT_NE(s.find("usable"), std::string::npos);
+}
+
+// --- verification stops taint at the corruption ---------------------------------
+
+TEST(SyscallScanner, VerifyStopsTaintOnceTheCorruptionFires) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out (CRP_OBS_DISABLED)";
+  // Every nginx candidate verified in a fresh instance. Full tracking pays
+  // one propagation per retired instruction of the run; the hook needs
+  // provenance only until it poisons the pointer, so a run that fired
+  // propagates strictly less — with the guest's work and the verdict
+  // unchanged (instructions per run pinned below).
+  TargetProgram prog = targets::make_nginx();
+  SyscallScanner scanner(prog);
+  SyscallScanResult res = scanner.discover();
+  obs::Counter& instret = obs::Registry::global().counter("vm.instr_retired");
+  obs::Counter& propagated = obs::Registry::global().counter("taint.propagated");
+  std::string got;
+  for (Candidate& c : res.candidates) {
+    u64 i0 = instret.value(), p0 = propagated.value();
+    scanner.verify(c);
+    u64 di = instret.value() - i0, dp = propagated.value() - p0;
+    got += strf("%s/%d %s %llu\n", os::sys_name(c.syscall), c.pointer_arg,
+                verdict_name(c.verdict), static_cast<unsigned long long>(di));
+    EXPECT_LT(dp, di) << os::sys_name(c.syscall);
+  }
+  // Verdicts and per-run instruction counts of full tracking.
+  EXPECT_EQ(got,
+            "read/2 not-controllable 997\n"
+            "write/2 not-controllable 997\n"
+            "open/1 not-controllable 966\n"
+            "chmod/1 not-controllable 997\n"
+            "mkdir/1 not-controllable 997\n"
+            "unlink/1 not-controllable 997\n"
+            "symlink/1 not-controllable 997\n"
+            "symlink/2 not-controllable 997\n"
+            "connect/2 not-controllable 997\n"
+            "send/2 not-controllable 997\n"
+            "recv/2 usable 753\n"
+            "sendmsg/2 not-controllable 997\n"
+            "epoll_wait/2 not-controllable 1006\n");
 }
 
 }  // namespace

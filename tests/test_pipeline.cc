@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "analysis/report.h"
+#include "chaos/chaos.h"
+#include "obs/journal.h"
 #include "pipeline/campaign.h"
 #include "pipeline/job_queue.h"
 #include "targets/nginx.h"
@@ -649,6 +651,95 @@ TEST(Campaign, RunTargetScansTheManagedRuntime) {
   EXPECT_EQ(rep.usable, 1);  // the pc-editing SIGSEGV handler
   ASSERT_EQ(rep.candidates.size(), 1u);
   EXPECT_EQ(rep.candidates[0].cls, analysis::PrimitiveClass::kExceptionHandler);
+}
+
+// --- concurrent run_all ------------------------------------------------------
+
+/// Servers and other classes interleaved, so registration order differs
+/// from the order run_all's task graph finishes them.
+TargetRegistry mixed_registry() {
+  TargetRegistry all = TargetRegistry::builtin();
+  TargetRegistry reg;
+  for (const char* id : {"server/nginx_sim", "runtime/jvm_sim", "server/lighttpd_sim",
+                         "corpus/dll_x32", "browser/firefox_sim"})
+    reg.add(*all.find(id));
+  return reg;
+}
+
+std::string render_all(const std::vector<TargetReport>& reps) {
+  std::string out;
+  for (const TargetReport& r : reps) out += render_report(r);
+  return out;
+}
+
+CampaignOptions run_all_options(int jobs) {
+  CampaignOptions o;
+  o.jobs = jobs;
+  o.cache = false;
+  o.plan = true;
+  o.plan_window_pages = 128;
+  return o;
+}
+
+TEST(Campaign, ConcurrentRunAllMatchesPerTargetRunTarget) {
+  TargetRegistry reg = mixed_registry();
+  Campaign serial(run_all_options(1));
+  std::string expect;
+  for (const TargetSpec& spec : reg.all()) expect += render_report(serial.run_target(spec));
+  for (int jobs : {1, 4}) {
+    Campaign campaign(run_all_options(jobs));
+    std::vector<TargetReport> reps = campaign.run_all(reg);
+    ASSERT_EQ(reps.size(), reg.all().size());
+    for (size_t i = 0; i < reps.size(); ++i) EXPECT_EQ(reps[i].id, reg.all()[i].id);
+    EXPECT_EQ(render_all(reps), expect) << "jobs=" << jobs;
+  }
+}
+
+TEST(Campaign, RunAllFiresTheSameChaosEventsSeriallyAndConcurrently) {
+  // Process-wide plan: run_all's tasks run on pool workers, which do not see
+  // a thread-local ScopedPlan.
+  chaos::FaultPlan plan;
+  plan.seed = 1234;
+  plan.rate = 256;
+  plan.points = chaos::kIoPoints | chaos::point_bit(chaos::Point::kTaskOrder);
+  chaos::install(&plan);
+  auto run = [](int jobs) {
+    chaos::TaskScope reset(11);
+    chaos::clear_injected_events();
+    Campaign campaign(run_all_options(jobs));
+    std::string rendered = render_all(campaign.run_all(mixed_registry()));
+    return std::pair{rendered, chaos::injected_events()};
+  };
+  auto [serial, serial_events] = run(1);
+  auto [concurrent, concurrent_events] = run(4);
+  chaos::install(nullptr);
+  chaos::clear_injected_events();
+  EXPECT_FALSE(serial_events.empty());
+  EXPECT_EQ(serial_events, concurrent_events);
+  EXPECT_EQ(serial, concurrent);
+}
+
+TEST(Campaign, TraceSpansNameTargetAndCandidate) {
+  obs::Journal& j = obs::Journal::global();
+  j.clear();
+  analysis::TargetProgram prog = targets::make_nginx();
+  ArtifactStore store;
+  CampaignOptions opts;
+  opts.jobs = 4;
+  ServerScan scan = Campaign(opts, &store).scan_program(prog);
+  std::multiset<std::string> verify_tasks, stages;
+  for (const obs::TraceEvent& e : j.events()) {
+    if (e.name == "verify") verify_tasks.insert(e.subject);
+    if (e.name.rfind("stage:", 0) == 0) stages.insert(e.name + " " + e.subject);
+  }
+  j.clear();
+  std::multiset<std::string> expect;
+  for (const analysis::Candidate& c : scan.result.candidates)
+    expect.insert(strf("nginx_sim %s", os::sys_name(c.syscall)));
+  EXPECT_EQ(verify_tasks, expect);
+  EXPECT_EQ(stages, (std::multiset<std::string>{"stage:taint_trace nginx_sim",
+                                                "stage:syscall_candidates nginx_sim",
+                                                "stage:verify nginx_sim"}));
 }
 
 }  // namespace

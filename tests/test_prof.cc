@@ -183,8 +183,10 @@ std::string profiled_scan_collapsed(int jobs) {
   g.clear();
   analysis::TargetProgram prog = targets::make_nginx();
   pipeline::ArtifactStore store;
-  pipeline::Campaign campaign({}, &store);
-  pipeline::ServerScan scan = campaign.scan_program(prog, jobs);
+  pipeline::CampaignOptions opts;
+  opts.jobs = jobs;
+  pipeline::Campaign campaign(opts, &store);
+  pipeline::ServerScan scan = campaign.scan_program(prog);
   EXPECT_FALSE(scan.cache_hit);
   EXPECT_GT(g.samples(), 0u) << "profiled scan took no samples";
   return g.collapsed();
@@ -223,8 +225,11 @@ TEST(Profiler, ChaosSweepStaysCrashFree) {
 
     g.clear();
     pipeline::ArtifactStore store;
-    pipeline::Campaign campaign({}, &store);
-    pipeline::ServerScan scan = campaign.scan_program(prog, 2);
+    // The plan override is thread-local: run every task on this thread.
+    pipeline::CampaignOptions opts;
+    opts.jobs = 1;
+    pipeline::Campaign campaign(opts, &store);
+    pipeline::ServerScan scan = campaign.scan_program(prog);
     // The scan must complete and sample under fault injection; the scan
     // rendering its table proves no probe escaped as a real crash.
     EXPECT_GT(g.samples(), 0u) << "seed " << seed;
