@@ -82,6 +82,23 @@ thread_local std::vector<TlsRingRef> t_rings;
 
 std::atomic<u64> g_next_ledger_id{1};
 
+/// rank[id] = position of names[id] in name order, "-" (id 0) first.
+std::vector<u32> name_ranks(const std::vector<std::string>& names) {
+  std::vector<u32> by_name(names.size());
+  for (u32 i = 0; i < by_name.size(); ++i) by_name[i] = i;
+  if (by_name.size() > 1)
+    std::sort(by_name.begin() + 1, by_name.end(),
+              [&names](u32 a, u32 b) { return names[a] < names[b]; });
+  std::vector<u32> rank(names.size());
+  for (u32 pos = 0; pos < by_name.size(); ++pos) rank[by_name[pos]] = pos;
+  return rank;
+}
+
+/// Ids past the name table (never interned) sort after every name.
+u32 rank_of(const std::vector<u32>& rank, u32 id) {
+  return id < rank.size() ? rank[id] : id + static_cast<u32>(rank.size());
+}
+
 }  // namespace
 
 Ledger::Ledger(size_t ring_capacity)
@@ -168,11 +185,18 @@ std::vector<ProbeEvent> Ledger::snapshot() {
     }
     r.tail.store(tail, std::memory_order_release);
   }
+  // Interned ids and per-thread seq depend on which thread recorded first,
+  // so order by name rank and renumber seq: the archive is then the same at
+  // any job count.
+  std::vector<u32> rank = name_ranks(names_);
+  auto key = [&rank](const ProbeEvent& e) {
+    return std::tuple(e.ts_ns, e.stage, rank_of(rank, e.primitive), rank_of(rank, e.target),
+                      e.addr, e.outcome);
+  };
   std::vector<ProbeEvent> out = archive_;
-  std::sort(out.begin(), out.end(), [](const ProbeEvent& a, const ProbeEvent& b) {
-    return std::tie(a.ts_ns, a.stage, a.primitive, a.target, a.addr, a.outcome, a.seq) <
-           std::tie(b.ts_ns, b.stage, b.primitive, b.target, b.addr, b.outcome, b.seq);
-  });
+  std::sort(out.begin(), out.end(),
+            [&key](const ProbeEvent& a, const ProbeEvent& b) { return key(a) < key(b); });
+  for (size_t i = 0; i < out.size(); ++i) out[i].seq = static_cast<u32>(i);
   return out;
 }
 
@@ -244,11 +268,10 @@ bool get_raw(const std::string& in, size_t* pos, T* v) {
   *pos += sizeof *v;
   return true;
 }
-}  // namespace
 
-std::string Ledger::encode_binary(const std::vector<ProbeEvent>& evs) const {
+std::string encode_binary_doc(const std::vector<ProbeEvent>& evs,
+                              const std::vector<std::string>& nm) {
   std::string out(kLedgerMagic, sizeof kLedgerMagic);
-  std::vector<std::string> nm = names();
   put_raw<u32>(&out, static_cast<u32>(nm.size()));
   for (const std::string& n : nm) {
     put_raw<u16>(&out, static_cast<u16>(std::min<size_t>(n.size(), 0xFFFF)));
@@ -257,6 +280,11 @@ std::string Ledger::encode_binary(const std::vector<ProbeEvent>& evs) const {
   put_raw<u64>(&out, static_cast<u64>(evs.size()));
   out.append(reinterpret_cast<const char*>(evs.data()), evs.size() * sizeof(ProbeEvent));
   return out;
+}
+}  // namespace
+
+std::string Ledger::encode_binary(const std::vector<ProbeEvent>& evs) const {
+  return encode_binary_doc(evs, names());
 }
 
 bool Ledger::decode_binary(const std::string& doc, std::vector<ProbeEvent>* evs,
@@ -373,11 +401,22 @@ bool Ledger::decode_jsonl(const std::string& doc, std::vector<ProbeEvent>* evs) 
 
 bool Ledger::write_files(const std::string& path) {
   std::vector<ProbeEvent> evs = snapshot();
+  // The file's name table is in name order (ids renumbered to match), so the
+  // binary, like the snapshot, does not depend on which thread interned first.
+  std::vector<std::string> nm = names();
+  std::vector<u32> rank = name_ranks(nm);
+  std::vector<std::string> sorted_names(nm.size());
+  for (u32 id = 0; id < nm.size(); ++id) sorted_names[rank[id]] = nm[id];
+  std::vector<ProbeEvent> renamed = evs;
+  for (ProbeEvent& e : renamed) {
+    e.primitive = e.primitive < rank.size() ? rank[e.primitive] : 0;
+    e.target = e.target < rank.size() ? rank[e.target] : 0;
+  }
   bool ok = true;
   {
     std::ofstream f(path, std::ios::binary);
     if (f)
-      f << encode_binary(evs);
+      f << encode_binary_doc(renamed, sorted_names);
     else
       ok = false;
   }

@@ -73,7 +73,7 @@ struct ProbeEvent {
   u8 outcome = 0;     // ProbeOutcome
   u8 stage = 0;       // LedgerStage
   u16 reserved = 0;
-  u32 seq = 0;        // per-thread emission sequence (drain tie-breaker)
+  u32 seq = 0;        // emission sequence; snapshot() renumbers it to the position
 
   bool operator==(const ProbeEvent&) const = default;
 };
@@ -113,8 +113,10 @@ class Ledger {
   void register_current_thread() { ring_for_thread(); }
 
   /// Drain every thread ring into the archive and return a copy of the full
-  /// archive, sorted by (ts_ns, stage, primitive, target, addr, outcome) so
-  /// deterministic campaigns yield byte-identical ledgers at any job count.
+  /// archive, sorted by (ts_ns, stage, primitive name, target name, addr,
+  /// outcome) with seq renumbered to the sorted position, so deterministic
+  /// campaigns yield byte-identical ledgers at any job count (write_files
+  /// also writes the name table in name order).
   std::vector<ProbeEvent> snapshot();
 
   /// Events lost to ring/archive overflow. Tallies stay exact regardless.

@@ -2,10 +2,12 @@
 // ring overflow, multi-threaded emission, binary and JSONL codecs (round
 // trip + corruption rejection), the zero-crash audit (including a doctored
 // crash event and the stage scoping of the invariant), the ledger/counter
-// cross-check, and file output via write_files.
+// cross-check, and file output via write_files (independent of intern and
+// thread order).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -189,6 +191,64 @@ TEST(Ledger, WriteFilesProducesBothEncodings) {
   EXPECT_EQ(evs.size(), 1u);
   std::remove(path.c_str());
   std::remove((path + ".jsonl").c_str());
+}
+
+TEST(Ledger, FilesDoNotDependOnInternOrThreadOrder) {
+  REQUIRE_OBS_COMPILED_IN();
+  // Two ledgers see the same events, but names are interned and events
+  // recorded by different threads in a different order (as concurrent
+  // targets do): the written files must still be byte-identical.
+  auto emit = [](Ledger& led, bool reversed) {
+    std::vector<std::string> order = {"nginx", "read", "cherokee", "chmod"};
+    if (reversed) std::reverse(order.begin(), order.end());
+    for (const std::string& n : order) led.intern(n);
+    auto target_events = [&led](const char* tgt) {
+      led.register_current_thread();
+      for (const char* prim : {"read", "chmod", "read"})
+        led.record(LedgerStage::kVerify, ProbeOutcome::kSurvive, led.intern(prim),
+                   led.intern(tgt), 0, 0);
+    };
+    std::thread first(target_events, reversed ? "cherokee" : "nginx");
+    first.join();
+    std::thread second(target_events, reversed ? "nginx" : "cherokee");
+    second.join();
+  };
+  auto slurp = [](const std::string& p) {
+    std::ifstream f(p, std::ios::binary);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+  };
+  Ledger a, b;
+  emit(a, false);
+  emit(b, true);
+  ASSERT_NE(a.intern("nginx"), b.intern("nginx"));  // the ids really differ
+
+  std::vector<ProbeEvent> evs = a.snapshot();
+  ASSERT_EQ(evs.size(), 6u);
+  for (size_t i = 0; i < evs.size(); ++i) EXPECT_EQ(evs[i].seq, i);
+
+  auto tmp = std::filesystem::temp_directory_path();
+  std::string pa = (tmp / "crp_test_ledger_order_a.bin").string();
+  std::string pb = (tmp / "crp_test_ledger_order_b.bin").string();
+  ASSERT_TRUE(a.write_files(pa));
+  ASSERT_TRUE(b.write_files(pb));
+  EXPECT_EQ(slurp(pa), slurp(pb));
+  EXPECT_EQ(slurp(pa + ".jsonl"), slurp(pb + ".jsonl"));
+
+  // The binary's name table and ids still decode to the same names.
+  std::vector<ProbeEvent> back;
+  std::vector<std::string> names;
+  ASSERT_TRUE(Ledger::decode_binary(slurp(pa), &back, &names));
+  ASSERT_EQ(back.size(), evs.size());
+  for (size_t i = 0; i < evs.size(); ++i) {
+    EXPECT_EQ(names.at(back[i].primitive), a.name_of(evs[i].primitive));
+    EXPECT_EQ(names.at(back[i].target), a.name_of(evs[i].target));
+  }
+  for (const std::string& p : {pa, pb}) {
+    std::remove(p.c_str());
+    std::remove((p + ".jsonl").c_str());
+  }
 }
 
 // --- audit -------------------------------------------------------------------

@@ -13,7 +13,8 @@
 //   --rate-max N        per-tenant SUBMITs allowed per window (default 64)
 //   --rate-window-ms N  admission rate window (default 1000)
 //   --cache 0|1         shared artifact cache (default 1)
-//   --jobs N            default intra-job verify parallelism (default 1)
+//   --jobs N            default intra-job verify parallelism (default 1;
+//                       capped at the shared pool's size)
 //   --obs-port N        also serve the HTTP telemetry endpoint on this
 //                       port (0 = ephemeral, printed): /metrics,
 //                       /jobs.json, /tenants.json, /traces.json, ...
@@ -32,6 +33,7 @@
 #include <cstring>
 #include <thread>
 
+#include "exec/thread_pool.h"
 #include "obs/serve.h"
 #include "serve/daemon.h"
 #include "util/log.h"
@@ -81,7 +83,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       opts.defaults.cache = arg_num(argc, argv, i) != 0;
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      opts.defaults.jobs = static_cast<int>(arg_num(argc, argv, i));
+      opts.defaults.jobs =
+          crp::exec::shared_width(static_cast<int>(arg_num(argc, argv, i)), "crpd");
     } else if (std::strcmp(argv[i], "--obs-port") == 0) {
       obs_serve = true;
       obs_port = static_cast<crp::u16>(arg_num(argc, argv, i));
